@@ -2,17 +2,18 @@
 
 Every perf-sensitive bench records its headline numbers here so the
 repository carries a machine-readable history of how fast the simulator
-and the campaign runner are.  The file lives at the repo root (override
-with ``REPRO_BENCH_OUT``) and CI uploads it as an artifact, so a perf
-regression shows up as a diff, not as a vague feeling.
+and the campaign runner are.  The file lives at the repo root (redirect
+new records with ``REPRO_BENCH_OUT``) and CI uploads it as an artifact, so
+a perf regression shows up as a diff, not as a vague feeling.
 
 Records are merged by bench name — re-running one bench updates its entry
 and leaves the others alone.  Each record is stamped with ``git_describe``
 so a trajectory point is attributable to a commit.
 
 :func:`check_regression` is the gate: it compares a freshly measured
-number against the *committed* baseline (memoised before any
-``record_bench`` overwrites the file) and fails the bench when the fresh
+number against the *committed* baseline — always the repo-root file,
+wherever ``REPRO_BENCH_OUT`` sends new records, memoised before any
+``record_bench`` overwrites it — and fails the bench when the fresh
 number regressed beyond tolerance.  Set ``REPRO_BENCH_GATE=0`` to record
 without gating (e.g. on a deliberately slow machine).
 """
@@ -25,7 +26,10 @@ import platform
 import time
 from typing import Any
 
-_DEFAULT_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "BENCH_campaign.json")
+#: The committed bench file: the gate's baseline and the default output.
+COMMITTED_PATH = os.path.abspath(
+    os.path.join(os.path.dirname(__file__), os.pardir, "BENCH_campaign.json")
+)
 
 #: Default relative regression tolerated before the gate fails (25%).
 DEFAULT_TOLERANCE = 0.25
@@ -37,7 +41,7 @@ _BASELINE: dict[str, Any] | None = None
 
 
 def bench_out_path() -> str:
-    return os.path.abspath(os.environ.get("REPRO_BENCH_OUT", _DEFAULT_PATH))
+    return os.path.abspath(os.environ.get("REPRO_BENCH_OUT", COMMITTED_PATH))
 
 
 def _git_describe() -> str:
@@ -47,12 +51,17 @@ def _git_describe() -> str:
 
 
 def load_baseline() -> dict[str, Any]:
-    """The committed bench file's ``benchmarks`` mapping (memoised)."""
+    """The committed bench file's ``benchmarks`` mapping (memoised).
+
+    Read from :data:`COMMITTED_PATH`, never from :func:`bench_out_path`:
+    redirected output starts empty, and gating against it would pass
+    every regression.
+    """
     global _BASELINE
     if _BASELINE is None:
         baseline: dict[str, Any] = {}
         try:
-            with open(bench_out_path()) as fh:
+            with open(COMMITTED_PATH) as fh:
                 baseline = json.load(fh).get("benchmarks", {})
         except (OSError, ValueError):
             baseline = {}

@@ -1,27 +1,16 @@
-"""Idle smart-home day: the quiescent fast path on an all-periodic fleet.
+"""Idle smart-home day: wall time of one simulated day of heartbeats.
 
 The paper's victim population is a smart home that spends most of a day
 *idle*: every device just heartbeats — MQTT keep-alives, TCP keep-alive
 probes, periodic sensor reports — and nothing else happens.  This bench
-simulates 24 hours of that steady state for a 20-device fleet (60 periodic
-timers, ≈90k events) through three engine configurations:
+simulates 24 hours of that steady state for a 20-device fleet (60
+heartbeat timers, ≈90k events).  Each heartbeat is a one-shot timer that
+re-arms itself from its own callback, the way the protocol layers arm
+their keep-alives.
 
-* ``events_per_sec`` (headline): the timer wheel with quiescence skipping
-  enabled — all-periodic detection lets :meth:`Simulator.run_until`
-  batch-step the whole day through the dedicated re-arm loop;
-* ``general_events_per_sec``: the same wheel with quiescence blocked
-  (:meth:`Simulator.block_quiescence`), i.e. the general bucket-scan path;
-* ``legacy_events_per_sec``: the seed's ``_Entry``-dataclass engine, which
-  allocates a fresh ``Timer`` + heap entry + f-string label per fire.
-
-All three fire the identical logical event stream (asserted), so the
-ratios are pure engine overhead.  Honest numbers: on the reference box the
-wheel clears the seed engine by ≈4x on this pure-periodic mix (the seed
-loop's worst case — one-shot churn with cancellations — is where the
-wheel's win exceeds 10x; see ``scheduler_microbench``), and quiescence
-skipping adds ≈10-15% over the general wheel path.  The inline gate is a
-conservative 3x floor on ``speedup_vs_legacy``; absolute rates are gated
-against the committed baseline by :func:`check_regression`.
+The single number is ``day_wall_ms``, the best-of-3 wall time of the
+whole day, gated against the committed baseline by
+:func:`check_regression` when the baseline simulated the same day.
 
 ``REPRO_BENCH_IDLE_SECONDS`` shrinks the simulated day for smoke runs.
 """
@@ -33,8 +22,7 @@ import time
 
 from repro.simnet.scheduler import Simulator
 
-from _perf import check_regression, record_bench
-from bench_scheduler import _LegacySimulator
+from _perf import baseline_matches, check_regression, record_bench
 
 #: Simulated horizon (one day of idle steady state by default).
 DAY = float(os.environ.get("REPRO_BENCH_IDLE_SECONDS", 86_400))
@@ -48,98 +36,41 @@ def _device_periods(i: int) -> tuple[float, float, float]:
     return (29.0 + 0.25 * i, 45.0 + 1.5 * i, 300.0 + float(i))
 
 
-def _noop() -> None:
-    pass
-
-
-def _drive_wheel(quiescent: bool) -> tuple[int, float]:
-    """One simulated day on the wheel; returns (events, wall seconds)."""
+def _drive() -> tuple[int, float]:
+    """One simulated day; returns (events, wall seconds)."""
     sim = Simulator()
-    if not quiescent:
-        sim.block_quiescence()
-    for i in range(N_DEVICES):
-        mqtt, tcpka, sensor = _device_periods(i)
-        sim.schedule_periodic(mqtt, _noop, label=f"dev{i}:mqtt-ka")
-        sim.schedule_periodic(tcpka, _noop, label=f"dev{i}:tcp-ka")
-        sim.schedule_periodic(sensor, _noop, label=f"dev{i}:sensor")
-    start = time.perf_counter()
-    sim.run_until(DAY)
-    return sim._events_processed, time.perf_counter() - start
 
-
-def _drive_legacy() -> tuple[int, float]:
-    """The same day on the seed engine: self-rescheduling one-shot timers,
-    a fresh Timer object and a freshly formatted label per fire — exactly
-    how the seed's protocol layers armed their keep-alives."""
-    sim = _LegacySimulator()
-
-    def arm(i: int, kind: str, period: float) -> None:
+    def arm(period: float, label: str) -> None:
         def fire() -> None:
-            sim.schedule(period, fire, label=f"dev{i}:{kind}")
+            sim.schedule(period, fire, label=label)
 
-        sim.schedule(period, fire, label=f"dev{i}:{kind}")
+        sim.schedule(period, fire, label=label)
 
     for i in range(N_DEVICES):
         mqtt, tcpka, sensor = _device_periods(i)
-        arm(i, "mqtt-ka", mqtt)
-        arm(i, "tcp-ka", tcpka)
-        arm(i, "sensor", sensor)
+        arm(mqtt, f"dev{i}:mqtt-ka")
+        arm(tcpka, f"dev{i}:tcp-ka")
+        arm(sensor, f"dev{i}:sensor")
     start = time.perf_counter()
     sim.run_until(DAY)
-    return sim._events_processed, time.perf_counter() - start
-
-
-def _best(drive, rounds: int = 3) -> tuple[int, float, float]:
-    """Best-of-N: (events, best events/sec, best wall seconds)."""
-    events, best_rate, best_wall = 0, 0.0, float("inf")
-    for _ in range(rounds):
-        events, elapsed = drive()
-        best_rate = max(best_rate, events / elapsed)
-        best_wall = min(best_wall, elapsed)
-    return events, best_rate, best_wall
+    return sim.events_processed, time.perf_counter() - start
 
 
 def test_idle_home_day():
-    q_events, quiescent, q_wall = _best(lambda: _drive_wheel(True))
-    g_events, general, _ = _best(lambda: _drive_wheel(False))
-    l_events, legacy, l_wall = _best(_drive_legacy)
-    assert q_events == g_events == l_events, (
-        "all engine configurations must fire the identical heartbeat stream"
-    )
-
-    speedup = quiescent / legacy
-    quiescence_gain = quiescent / general - 1.0
+    runs = [_drive() for _ in range(3)]
+    events = runs[0][0]
+    assert all(n == events for n, _ in runs), "the day must be deterministic"
+    wall_ms = min(wall for _, wall in runs) * 1e3
     entry = record_bench(
         "idle_home_bench",
         devices=N_DEVICES,
         timers=N_DEVICES * 3,
         day_seconds=DAY,
-        events=q_events,
-        events_per_sec=round(quiescent),
-        general_events_per_sec=round(general),
-        legacy_events_per_sec=round(legacy),
-        speedup_vs_legacy=round(speedup, 3),
-        quiescence_gain_pct=round(quiescence_gain * 100, 2),
-        day_wall_ms=round(q_wall * 1e3, 2),
-        legacy_day_wall_ms=round(l_wall * 1e3, 2),
+        events=events,
+        day_wall_ms=round(wall_ms, 2),
     )
     print()
-    print(
-        f"idle home day: {q_events} events in {q_wall * 1e3:.1f} ms "
-        f"({quiescent / 1e6:.3f} M events/s; general wheel "
-        f"{general / 1e6:.3f} M, legacy {legacy / 1e6:.3f} M, "
-        f"{speedup:.2f}x; quiescence gain {quiescence_gain:+.1%}) -> {entry}"
-    )
-    # Conservative inline floor: the wheel must hold at least 3x over the
-    # seed engine on the pure-periodic day (its most favourable workload —
-    # no cancellations to double-scan).  Measured headroom is ≈4x.
-    assert speedup >= 3.0, (
-        f"idle-home speedup vs the seed engine fell to {speedup:.2f}x"
-    )
-    # Quiescence skipping must never lose to the general path.
-    assert quiescent >= general * 0.95, (
-        f"quiescent path slower than general path ({quiescence_gain:+.1%})"
-    )
-    check_regression("idle_home_bench", "events_per_sec", quiescent)
-    check_regression("idle_home_bench", "speedup_vs_legacy", speedup,
-                     tolerance=0.45)
+    print(f"idle home day: {events} events in {wall_ms:.1f} ms -> {entry}")
+    if baseline_matches("idle_home_bench", day_seconds=DAY, devices=N_DEVICES):
+        check_regression("idle_home_bench", "day_wall_ms", wall_ms,
+                         larger_is_better=False)

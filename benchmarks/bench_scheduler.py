@@ -4,20 +4,18 @@ The discrete-event scheduler executes every packet, timer, and attacker
 hold of the reproduction, so its per-event overhead multiplies into every
 campaign's wall clock.  This bench measures two workloads:
 
-* the **headline** (``events_per_sec``): pure periodic keep-alives via
-  :meth:`~repro.simnet.Simulator.schedule_periodic` — the dominant event
-  mix of an idle IoT fleet, served by the timer wheel's quiescent fast
-  path (re-arm via ``heapreplace``, zero Timer allocation per fire);
-* the **one-shot chain** (``oneshot_events_per_sec``): self-rescheduling
-  timer chains plus a cancelled decoy per fire (defensive ``cancel()``
-  calls from protocol state machines), driven through both the current
+* the **keep-alive chains** (``keepalive_events_per_sec``): timers that
+  re-arm themselves from their own callback — the dominant event mix of
+  an idle IoT fleet (MQTT PINGREQ, TCP keep-alive probes);
+* the **one-shot chain** (``oneshot_events_per_sec``): the same chains
+  plus a cancelled decoy per fire (defensive ``cancel()`` calls from
+  protocol state machines), driven through both the current
   :class:`repro.simnet.Simulator` and ``_LegacySimulator`` — a faithful
   clone of the seed's ``_Entry``-dataclass loop (rich-comparison heap
   nodes, ``peek()``/``step()`` double scan).
 
 Rates and speedups land in ``BENCH_campaign.json`` so the perf trajectory
-of the hot loop is tracked release over release.  The first run after the
-periodic fast path landed must clear 5x the committed pre-wheel baseline.
+of the hot loop is tracked release over release.
 
 ``REPRO_BENCH_EVENTS`` scales the workload (default ≈290k events).
 """
@@ -115,15 +113,14 @@ def _drive(sim) -> tuple[int, float]:
     return sim._events_processed, time.perf_counter() - start
 
 
-def _drive_periodic(sim: Simulator) -> tuple[int, float]:
-    """Run the keep-alive workload; returns (events fired, wall seconds).
+def _drive_keepalive(sim: Simulator) -> tuple[int, float]:
+    """Run the keep-alive workload; returns (events fired, wall seconds)."""
 
-    Every timer is armed with :meth:`Simulator.schedule_periodic`, so once
-    the run starts the event mix is all-periodic and the scheduler's
-    quiescent fast path batch-steps the whole horizon.
-    """
+    def fire(i: int, period: float) -> None:
+        sim.schedule(period, fire, i, period, label=f"ka{i}")
+
     for i in range(N_CHAINS):
-        sim.schedule_periodic(0.7 + 0.013 * i, _noop, label=f"ka{i}")
+        fire(i, 0.7 + 0.013 * i)
     start = time.perf_counter()
     sim.run_until(HORIZON)
     return sim._events_processed, time.perf_counter() - start
@@ -143,10 +140,8 @@ def _best_rate(make_sim, drive=_drive, rounds: int = 3) -> tuple[int, float]:
 
 
 def test_scheduler_events_per_second():
-    from _perf import baseline_value, load_baseline
-
     legacy_events, legacy = _best_rate(_LegacySimulator)
-    periodic_events, periodic = _best_rate(Simulator, drive=_drive_periodic)
+    keepalive_events, keepalive = _best_rate(Simulator, drive=_drive_keepalive)
     # Plain and captured runs interleave round by round so clock drift on a
     # busy machine biases both the same way; the captured run keeps a
     # telemetry capture active for the whole workload (construction + hot
@@ -164,22 +159,10 @@ def test_scheduler_events_per_second():
     )
     speedup = current / legacy
     overhead = 1.0 - captured / current
-    # One-time acceptance gate for the timer-wheel PR: against the last
-    # committed pre-wheel baseline (its entry predates the periodic
-    # headline, so it lacks the oneshot_events_per_sec field) the periodic
-    # fast path must clear 5x.  Once a post-wheel baseline is committed
-    # the ordinary check_regression gates below take over.
-    committed = load_baseline().get("scheduler_microbench") or {}
-    pre_wheel = baseline_value("scheduler_microbench", "events_per_sec")
-    if pre_wheel and "oneshot_events_per_sec" not in committed:
-        assert periodic >= 5.0 * pre_wheel, (
-            f"periodic fast path {periodic:,.0f} ev/s misses 5x the "
-            f"pre-wheel baseline ({pre_wheel:,.0f} ev/s)"
-        )
     entry = record_bench(
         "scheduler_microbench",
-        events=periodic_events,
-        events_per_sec=round(periodic),
+        keepalive_events=keepalive_events,
+        keepalive_events_per_sec=round(keepalive),
         oneshot_events=events,
         oneshot_events_per_sec=round(current),
         events_per_sec_captured=round(captured),
@@ -189,7 +172,7 @@ def test_scheduler_events_per_second():
     )
     print()
     print(
-        f"scheduler: periodic {periodic / 1e6:.3f} M events/s, "
+        f"scheduler: keep-alive {keepalive / 1e6:.3f} M events/s, "
         f"one-shot {current / 1e6:.3f} M events/s "
         f"(legacy {legacy / 1e6:.3f} M events/s, {speedup:.2f}x; "
         f"telemetry capture overhead {overhead:+.1%}) -> {entry}"
@@ -204,7 +187,7 @@ def test_scheduler_events_per_second():
     # speedup ratio compounds the noise of two measurements, so its
     # tolerance is set to put the floor where the old inline assert was
     # (2.08x committed * 0.55 ≈ 1.15x).
-    check_regression("scheduler_microbench", "events_per_sec", periodic)
+    check_regression("scheduler_microbench", "keepalive_events_per_sec", keepalive)
     check_regression("scheduler_microbench", "oneshot_events_per_sec", current)
     check_regression("scheduler_microbench", "events_per_sec_captured", captured)
     check_regression("scheduler_microbench", "speedup_vs_entry_dataclass", speedup,

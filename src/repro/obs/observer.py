@@ -36,11 +36,8 @@ class SimObserver:
         """A timer's callback is about to run; ``queue_depth`` excludes it.
 
         ``queue_depth`` is the number of *live* pending timers (scheduled,
-        not yet fired or cancelled) — cancelled ghosts awaiting lazy
-        removal from the timer wheel are never counted.  The hook fires
-        for every logical event, including periodic fires the scheduler
-        batch-steps through its quiescence fast path, so profilers see an
-        identical stream whether or not the fast path engaged.
+        not yet fired or cancelled) — cancelled timers awaiting lazy
+        removal from the scheduler's heap are never counted.
         """
 
 

@@ -456,7 +456,12 @@ class CampaignRunner:
             try:
                 self._on_progress(self._run_done, self._run_total)
             except Exception:
-                pass  # observers never take the campaign down
+                # Observers never take the campaign down, but a failing one
+                # is counted.  The counter is created on the first error so
+                # clean runs keep byte-identical manifests.
+                self.registry.counter(
+                    "parallel", "progress_observer_errors", campaign=self.campaign
+                ).inc()
 
     def _book(
         self,

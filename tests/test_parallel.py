@@ -456,6 +456,23 @@ class TestCancellation:
                                 on_progress=lambda d, t: calls.append((d, t)))
         runner.run(self._shards())
         assert calls == [(1, 3), (2, 3), (3, 3)]
+        # A clean run never creates the error counter (manifests unchanged).
+        assert runner.registry.get(
+            "parallel", "progress_observer_errors", campaign="progress-hook"
+        ) is None
+
+    def test_failing_progress_observer_is_counted_not_fatal(self):
+        def on_progress(done, total):
+            if done != 2:
+                raise ValueError(f"observer broke at {done}/{total}")
+
+        runner = CampaignRunner(jobs=1, campaign="progress-errors",
+                                manifest=False, on_progress=on_progress)
+        assert len(runner.run(self._shards())) == 3
+        errors = runner.registry.get(
+            "parallel", "progress_observer_errors", campaign="progress-errors"
+        )
+        assert errors is not None and errors.value == 2
 
 
 class TestSharedWorkerPool:
