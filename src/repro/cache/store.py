@@ -14,8 +14,9 @@ hours.  :class:`CampaignCache` stores one JSONL file per shard under
 
 Robustness rules: entries are written atomically (temp file +
 ``os.replace``) so a crash can never leave a half-entry; a corrupted or
-unreadable entry is a *miss*, never an exception; an entry written by a
-different source tree is *stale* and is overwritten on the next put.
+unreadable entry is a *miss* flagged ``corrupt``, never an exception; an
+entry written by a different source tree is *stale* and is overwritten on
+the next put.
 """
 
 from __future__ import annotations
@@ -73,6 +74,9 @@ class CacheLookup:
     #: byte-identically.  ``None`` for entries written before telemetry
     #: existed — the shard result still hits.
     telemetry: Any = None
+    #: A miss because the entry is damaged (torn, non-JSON, unpicklable),
+    #: not because it is absent; the runner counts these separately.
+    corrupt: bool = False
 
     @property
     def hit(self) -> bool:
@@ -172,7 +176,7 @@ class CampaignCache:
         except Exception:
             # Torn write, disk damage, an unpicklable edit: a cache must
             # degrade to a re-run, never take the campaign down.
-            return CacheLookup("miss")
+            return CacheLookup("miss", corrupt=True)
         telemetry = None
         telemetry_b64 = payload.get("telemetry")
         if telemetry_b64 is not None:

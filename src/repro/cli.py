@@ -61,107 +61,39 @@ def _cmd_catalogue(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_table1(args: argparse.Namespace) -> int:
-    from .experiments.table1 import render_table1, run_table1
+def _cmd_experiment(args: argparse.Namespace) -> int:
+    """Run one registered experiment with the campaign service's call.
 
-    labels = args.labels.split(",") if args.labels else None
-    rows = run_table1(
-        labels=labels, trials=args.trials, seed=args.seed, jobs=args.jobs,
+    Each global option that is set and that the driver's signature names
+    becomes a driver kwarg; everything else (render, exit status) comes
+    from the registry entry, so a one-shot run and a served run of the
+    same spec print the same bytes.
+    """
+    import inspect
+
+    from .experiments.registry import get_experiment
+    from .parallel import CampaignRunner
+
+    spec = get_experiment(args.experiment)
+    accepted = inspect.signature(spec.run).parameters
+    options = {
+        "labels": args.labels.split(",") if args.labels else None,
+        "trials": args.trials,
+        "faults": args.faults,
+    }
+    params = {
+        name: value for name, value in options.items()
+        if value is not None and name in accepted
+    }
+    runner = CampaignRunner(
+        jobs=args.jobs, base_seed=args.seed, campaign=spec.name,
         cache=args.cache, manifest=_manifest_for(args),
     )
-    print(render_table1(rows))
-    _print_manifest(args, "table1")
-    return 0 if all(r.matches_expectation() for r in rows) else 1
-
-
-def _cmd_table2(args: argparse.Namespace) -> int:
-    from .experiments.table2 import render_table2, run_table2
-
-    labels = args.labels.split(",") if args.labels else None
-    rows = run_table2(
-        labels=labels, trials=args.trials, seed=args.seed, jobs=args.jobs,
-        cache=args.cache, manifest=_manifest_for(args),
-    )
-    print(render_table2(rows))
-    _print_manifest(args, "table2")
-    return 0 if all(r.matches_expectation for r in rows) else 1
-
-
-def _table3_faults_summary(rows) -> str | None:
-    """One status line when the run was impaired + invariant-audited."""
-    if not any(r.attacked.fault_stats for r in rows):
-        return None
-    violations = sum(
-        len(r.baseline.invariant_violations or [])
-        + len(r.attacked.invariant_violations or [])
-        for r in rows
-    )
-    dropped = sum(
-        sum(v for k, v in (r.attacked.fault_stats or {}).items() if k.startswith("dropped"))
-        for r in rows
-    )
-    return (
-        f"fault injection: {dropped} frames dropped across attacked runs; "
-        f"invariant violations: {violations}"
-    )
-
-
-def _cmd_table3(args: argparse.Namespace) -> int:
-    from .experiments.table3 import render_table3, run_table3
-
-    faults = getattr(args, "faults", None)
-    rows = run_table3(
-        seed=args.seed, jobs=args.jobs, faults=faults,
-        check_invariants=bool(faults), cache=args.cache,
-        manifest=_manifest_for(args),
-    )
-    print(render_table3(rows))
-    _print_manifest(args, "table3")
-    summary = _table3_faults_summary(rows)
-    if summary:
-        print(summary)
-    return 0 if all(r.consequence_reproduced and r.stealthy for r in rows) else 1
-
-
-def _cmd_figure3(args: argparse.Namespace) -> int:
-    from .experiments.table3 import render_table3, run_figure3
-
-    faults = getattr(args, "faults", None)
-    rows = run_figure3(
-        seed=args.seed, jobs=args.jobs, faults=faults,
-        check_invariants=bool(faults), cache=args.cache,
-        manifest=_manifest_for(args),
-    )
-    print(render_table3(rows, title="Figure 3 — the four illustrated attacks"))
-    _print_manifest(args, "table3")
-    summary = _table3_faults_summary(rows)
-    if summary:
-        print(summary)
-    return 0 if all(r.consequence_reproduced and r.stealthy for r in rows) else 1
-
-
-def _cmd_robustness(args: argparse.Namespace) -> int:
-    from .experiments.robustness import render_robustness, run_robustness
-
-    rows = run_robustness(
-        seed=args.seed, jobs=args.jobs, cache=args.cache,
-        manifest=_manifest_for(args),
-    )
-    print(render_robustness(rows))
-    _print_manifest(args, "robustness")
-    return 0 if all(r.success and r.violations == 0 for r in rows) else 1
-
-
-def _cmd_verify(args: argparse.Namespace) -> int:
-    from .experiments.verification import render_verification, run_verification
-
-    rows = run_verification(
-        trials=args.trials, seed=args.seed, jobs=args.jobs, cache=args.cache,
-        manifest=_manifest_for(args),
-    )
-    print(render_verification(rows))
-    _print_manifest(args, "verification")
-    return 0 if all(r.success_rate == 1.0 for r in rows) else 1
+    rows = spec.run(**params, seed=args.seed, runner=runner)
+    print(spec.render(rows))
+    if runner.last_manifest_path is not None:
+        print(f"manifest: {runner.last_manifest_path}")
+    return spec.status(rows)
 
 
 def _cmd_findings(args: argparse.Namespace) -> int:
@@ -716,17 +648,24 @@ def _cmd_watch(args: argparse.Namespace) -> int:
 
 
 def _cmd_all(args: argparse.Namespace) -> int:
+    # Several campaigns: each keeps its default manifest path, so
+    # ``--manifest PATH`` cannot make one overwrite another.
+    args = argparse.Namespace(**{**vars(args), "manifest": None})
     status = 0
-    for runner in (
-        _cmd_table1, _cmd_table2, _cmd_table3, _cmd_figure3,
-        _cmd_verify, _cmd_findings, _cmd_countermeasures, _cmd_integrity,
-    ):
-        status |= runner(args)
+    for name in ("table1", "table2", "table3", "figure3", "verify"):
+        status |= _cmd_experiment(
+            argparse.Namespace(**{**vars(args), "experiment": name})
+        )
+        print()
+    for handler in (_cmd_findings, _cmd_countermeasures, _cmd_integrity):
+        status |= handler(args)
         print()
     return status
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .experiments.registry import experiment_names, get_experiment
+
     parser = argparse.ArgumentParser(
         prog="phantom-delay",
         description=(
@@ -749,7 +688,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--labels", type=str, default=None,
-        help="comma-separated device labels (table1/table2 only)",
+        help="comma-separated device labels (table1/table2/verify)",
     )
     parser.add_argument(
         "--faults", type=str, default=None, metavar="PROFILE",
@@ -780,13 +719,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip writing the campaign run manifest",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    for name in experiment_names():
+        p = sub.add_parser(name, help=get_experiment(name).description)
+        p.set_defaults(func=_cmd_experiment, experiment=name)
     for name, fn, doc in (
         ("catalogue", _cmd_catalogue, "list the 50-device catalogue"),
-        ("table1", _cmd_table1, "Table I: cloud device timeout profiling"),
-        ("table2", _cmd_table2, "Table II: HomeKit device profiling"),
-        ("table3", _cmd_table3, "Table III: the 11 PoC attack cases"),
-        ("figure3", _cmd_figure3, "Figure 3: the four illustrated attacks"),
-        ("verify", _cmd_verify, "Section VI-C verification test"),
         ("findings", _cmd_findings, "Findings 1-3"),
         ("countermeasures", _cmd_countermeasures, "Section VII defences"),
         ("integrity", _cmd_integrity, "TLS integrity vs delay"),
@@ -795,8 +732,6 @@ def build_parser() -> argparse.ArgumentParser:
         ("export-knowledge", _cmd_export_knowledge,
          "dump the device-behaviour knowledge base as JSON (--labels sets the path)"),
         ("jamming", _cmd_jamming, "phantom delay vs packet discarding (extension)"),
-        ("robustness", _cmd_robustness,
-         "attack success over a loss x jitter grid with invariants audited"),
         ("all", _cmd_all, "run every experiment"),
     ):
         p = sub.add_parser(name, help=doc)
@@ -1010,8 +945,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     submit.add_argument(
         "experiment",
-        help="registered experiment name (table1, table2, table3, figure3, "
-             "verify, robustness)",
+        help="registered experiment name ("
+             + ", ".join(experiment_names()) + ")",
     )
     submit.add_argument(
         "--param", action="append", default=None, metavar="KEY=VALUE",

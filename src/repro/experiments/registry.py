@@ -1,11 +1,12 @@
-"""Registry mapping campaign-spec experiment names to their drivers.
+"""Registry mapping experiment names to their drivers.
 
-The campaign service (``repro.service``) accepts JSON specs that name an
-experiment; this table is the one place such a name resolves to a driver,
-a renderer, and the exit-status rule the one-shot CLI applies to the same
-rows.  Keeping all three together is what makes a served result provably
-equivalent to ``phantom-delay <experiment>``: both sides call the same
-driver with the same kwargs/seed and render with the same function.
+The one-shot CLI (``phantom-delay <experiment>``) and the campaign service
+(``repro.service``) both dispatch through this table: it is the one place
+a name resolves to a driver, a renderer, and an exit-status rule, and the
+CLI generates one subcommand per entry.  Keeping all three together is
+what makes a served result provably equivalent to the one-shot command:
+both sides call the same driver with the same kwargs/seed and render with
+the same function.
 
 Every registered ``run`` callable accepts ``**kwargs`` from the spec plus
 ``seed=`` and ``runner=`` (a pre-built :class:`~repro.parallel.CampaignRunner`
@@ -27,9 +28,10 @@ class ExperimentSpec:
     name: str
     run: Callable[..., Any]
     render: Callable[[Any], str]
-    #: Maps the driver's result to the exit status the one-shot CLI would
-    #: return for it (0 = every row matched expectations).
+    #: Maps the driver's result to the exit status the one-shot CLI
+    #: returns for it (0 = every row matched expectations).
     status: Callable[[Any], int]
+    #: The CLI subcommand's help text.
     description: str = ""
 
 
@@ -115,7 +117,7 @@ def _register_builtins() -> None:
         run=run_robustness,
         render=render_robustness,
         status=_all_pass(lambda r: r.success and r.violations == 0),
-        description="attack success over a loss x jitter grid",
+        description="attack success over a loss x jitter grid with invariants audited",
     ))
 
 

@@ -96,16 +96,15 @@ def run_table3(
     jobs: int | None = 1,
     runner: CampaignRunner | None = None,
     faults: Any = None,
-    check_invariants: bool = False,
     cache: Any = None,
     manifest: Any = True,
 ) -> list[CaseRow]:
     """One shard per case; every case keeps the campaign seed, as before.
 
-    ``faults`` (profile or spec string) runs every case on an impaired LAN;
-    ``check_invariants`` audits each run with the cross-layer suite;
-    ``cache`` reuses content-addressed shard results (the faults spec is
-    part of the key, so impaired and clean runs never mix).
+    ``faults`` (profile or spec string) runs every case on an impaired LAN
+    and audits each run with the cross-layer invariant suite; ``cache``
+    reuses content-addressed shard results (the faults spec is part of the
+    key, so impaired and clean runs never mix).
     """
     cases = list(scenarios or TABLE3_SCENARIOS)
     shards = [
@@ -115,7 +114,7 @@ def run_table3(
             kwargs={
                 "scenario": scenario,
                 "faults": faults,
-                "check_invariants": check_invariants,
+                "check_invariants": bool(faults),
             },
             seed=seed,
         )
@@ -133,7 +132,6 @@ def run_figure3(
     jobs: int | None = 1,
     runner: CampaignRunner | None = None,
     faults: Any = None,
-    check_invariants: bool = False,
     cache: Any = None,
     manifest: Any = True,
 ) -> list[CaseRow]:
@@ -143,7 +141,6 @@ def run_figure3(
         jobs=jobs,
         runner=runner,
         faults=faults,
-        check_invariants=check_invariants,
         cache=cache,
         manifest=manifest,
     )
@@ -161,6 +158,25 @@ def _headline(metrics: dict[str, Any]) -> str:
     return ", ".join(parts)
 
 
+def _faults_summary(rows: list[CaseRow]) -> str | None:
+    """One status line when the run was impaired and invariant-audited."""
+    if not any(r.attacked.fault_stats for r in rows):
+        return None
+    violations = sum(
+        len(r.baseline.invariant_violations or [])
+        + len(r.attacked.invariant_violations or [])
+        for r in rows
+    )
+    dropped = sum(
+        sum(v for k, v in (r.attacked.fault_stats or {}).items() if k.startswith("dropped"))
+        for r in rows
+    )
+    return (
+        f"fault injection: {dropped} frames dropped across attacked runs; "
+        f"invariant violations: {violations}"
+    )
+
+
 def render_table3(rows: list[CaseRow], title: str = "Table III — PoC attack cases") -> str:
     table = TextTable(
         ["Case", "Type", "Rule", "Without attack", "With attack", "Reproduced", "Stealthy"],
@@ -176,4 +192,5 @@ def render_table3(rows: list[CaseRow], title: str = "Table III — PoC attack ca
             "yes" if row.consequence_reproduced else "NO",
             "yes" if row.stealthy else "NO",
         )
-    return table.render()
+    summary = _faults_summary(rows)
+    return table.render() if summary is None else f"{table.render()}\n{summary}"

@@ -31,8 +31,9 @@ process dispatch entirely: a warm campaign is file reads plus rendering,
 byte-identical to the cold run for every ``jobs`` value.
 
 Progress is surfaced through a :class:`~repro.obs.metrics.MetricsRegistry`
-(the ``parallel`` component): shard counts, cache hit/miss/stale counts,
-in-flight gauge, and a per-shard wall-time histogram, so
+(the ``parallel`` component): shard counts, cache hit/miss/stale counts
+(plus ``cache_corrupt`` once a damaged entry is seen), in-flight gauge,
+and a per-shard wall-time histogram, so
 ``CampaignRunner.render_progress()`` drops straight into the existing
 observability tooling.  The counters keep one shard one booking:
 ``shards_completed`` counts each shard exactly once per run (cache hit,
@@ -412,6 +413,12 @@ class CampaignRunner:
                 self._book(index, self._cache_hits, telemetry_rows[index])
             else:
                 (self._cache_stale if lookup.stale else self._cache_misses).inc()
+                if lookup.corrupt:
+                    # Created on the first damaged entry, so the metrics of
+                    # a clean run stay exactly as they were.
+                    self.registry.counter(
+                        "parallel", "cache_corrupt", campaign=self.campaign
+                    ).inc()
                 pending.append(index)
         return pending
 

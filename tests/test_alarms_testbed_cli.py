@@ -2,13 +2,23 @@
 
 from __future__ import annotations
 
+import argparse
 import math
+from pathlib import Path
 
 import pytest
 
 from repro.alarms import AlarmLog
 from repro.analysis.reporting import TextTable, fmt_bool, fmt_seconds, fmt_window, mean, median
 from repro.cli import build_parser, main
+from repro.experiments.registry import (
+    ExperimentSpec,
+    experiment_names,
+    get_experiment,
+    register,
+    unregister,
+)
+from repro.parallel import Shard
 from repro.simnet.scheduler import Simulator
 from repro.testbed import SmartHomeTestbed
 
@@ -168,3 +178,60 @@ class TestCli:
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+    def test_every_registered_experiment_is_a_subcommand(self):
+        # A name registered after import must show up too: the subcommands
+        # are generated from the registry, not listed by hand.
+        register(ExperimentSpec(
+            name="toy-parser", run=_toy_driver, render=str,
+            status=lambda rows: 0, description="toy for the parser test",
+        ))
+        try:
+            parser = build_parser()
+            [sub] = [a for a in parser._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+            helps = {a.dest: a.help for a in sub._choices_actions}
+            assert "toy-parser" in experiment_names()
+            for name in experiment_names():
+                assert helps.get(name) == get_experiment(name).description, name
+                assert parser.parse_args([name]).experiment == name
+        finally:
+            unregister("toy-parser")
+
+    def test_all_keeps_per_campaign_manifests_under_manifest_option(
+            self, tmp_path, monkeypatch, capsys):
+        # ``--manifest PATH all`` used to point every single-campaign step
+        # at PATH, so each manifest overwrote the one before it.
+        monkeypatch.setenv("REPRO_MANIFEST_DIR", str(tmp_path / "manifests"))
+        names = ("table1", "table2", "table3", "figure3", "verify")
+        originals = [get_experiment(name) for name in names]
+        for spec in originals:
+            register(ExperimentSpec(
+                name=spec.name, run=_toy_driver, render=str,
+                status=lambda rows: 0, description=spec.description,
+            ), replace=True)
+        try:
+            override = tmp_path / "one.jsonl"
+            assert main(["--jobs", "1", "--no-cache", "--manifest",
+                         str(override), "all"]) == 0
+        finally:
+            for spec in originals:
+                register(spec, replace=True)
+        printed = [line.removeprefix("manifest: ")
+                   for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("manifest: ")]
+        expected = [str(tmp_path / "manifests" / f"{name}.jsonl")
+                    for name in names]
+        assert printed[:len(names)] == expected
+        assert len(set(printed)) == len(printed)
+        assert all(Path(path).is_file() for path in printed)
+        assert not override.exists()
+
+
+def _toy_shard(value: int, seed: int) -> int:
+    return value + seed
+
+
+def _toy_driver(seed: int = 0, runner=None):
+    """Stands in for a registered driver: one cheap shard on ``runner``."""
+    return runner.run([Shard(key="toy/0", fn=_toy_shard, kwargs={"value": 1})])

@@ -294,6 +294,25 @@ class TestRunnerIntegration:
         assert reg.value("parallel", "cache_hits", campaign="cache-test") == 2
         assert reg.value("parallel", "cache_misses", campaign="cache-test") == 1
 
+    def test_damaged_entry_is_counted_as_corrupt(self, tmp_path):
+        _, runner = self._run(tmp_path, MetricsRegistry())
+        victim = runner.cache.key_for(
+            Shard(key="double/2", fn=_double, kwargs={"value": 2}), 3
+        )
+        path = runner.cache.shard_dir / f"{victim.logical}.jsonl"
+        path.write_text("torn")
+        assert runner.cache.get(victim).corrupt
+        reg = MetricsRegistry()
+        self._run(tmp_path, reg)
+        assert reg.value("parallel", "cache_corrupt", campaign="cache-test") == 1
+        # An absent entry is a plain miss, and a run without damaged
+        # entries never creates the counter.
+        path.unlink()
+        assert not runner.cache.get(victim).corrupt
+        clean = MetricsRegistry()
+        self._run(tmp_path, clean)
+        assert clean.get("parallel", "cache_corrupt", campaign="cache-test") is None
+
 
 class TestWarmColdEquivalence:
     """The acceptance property: warm output is byte-identical to cold for

@@ -211,13 +211,19 @@ class TestFaultsMatrix:
 
         profile = os.environ.get("REPRO_FAULT_PROFILE", "lossy")
         seed = int(os.environ.get("REPRO_FAULT_SEED", "3"))
-        rows = run_table3(seed=seed, faults=profile, check_invariants=True)
+        rows = run_table3(seed=seed, faults=profile)
         failures = [
             r.scenario.case_id
             for r in rows
             if not (r.consequence_reproduced and r.stealthy)
         ]
         assert failures == [], f"{profile}@seed={seed}: {failures}"
+        # A faulted run is always audited: every result carries a list.
+        assert all(
+            r.baseline.invariant_violations is not None
+            and r.attacked.invariant_violations is not None
+            for r in rows
+        )
         violations = [
             v
             for r in rows

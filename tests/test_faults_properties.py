@@ -153,12 +153,8 @@ class TestSerialParallelEquivalence:
         from repro.experiments.table3 import run_table3
 
         cases = TABLE3_SCENARIOS[:3]
-        serial = run_table3(
-            seed=3, scenarios=cases, jobs=1, faults="lossy", check_invariants=True
-        )
-        parallel = run_table3(
-            seed=3, scenarios=cases, jobs=2, faults="lossy", check_invariants=True
-        )
+        serial = run_table3(seed=3, scenarios=cases, jobs=1, faults="lossy")
+        parallel = run_table3(seed=3, scenarios=cases, jobs=2, faults="lossy")
         assert [_row_fingerprint(r) for r in serial] == [
             _row_fingerprint(r) for r in parallel
         ]
@@ -182,7 +178,7 @@ class TestRobustnessAcceptance:
     def test_all_cases_succeed_at_five_percent_loss(self):
         from repro.experiments.table3 import run_table3
 
-        rows = run_table3(seed=3, faults="loss=0.05", check_invariants=True)
+        rows = run_table3(seed=3, faults="loss=0.05")
         failures = [
             r.scenario.case_id
             for r in rows

@@ -289,12 +289,29 @@ class TestServiceCancellation:
         assert "unknown job" in error["message"]
 
 
+# (served kwargs, the one-shot CLI's arguments for the same campaign).
+# ``robustness`` is left out: its CLI form always runs the full 12-cell x
+# 11-case grid, which is too slow for the tier-1 suite.
+SERVED_VS_CLI = {
+    "table1": ({"trials": 1, "labels": ["C1", "C2"]},
+               ["--trials", "1", "--labels", "C1,C2"]),
+    "table2": ({"trials": 1, "labels": ["M9"]},
+               ["--trials", "1", "--labels", "M9"]),
+    "table3-lossy": ({"faults": "lossy"}, ["--faults", "lossy"]),
+    "figure3": ({}, []),
+    "figure3-lossy": ({"faults": "lossy"}, ["--faults", "lossy"]),
+    "verify": ({"trials": 1}, ["--trials", "1"]),
+}
+
+
 class TestServedEquivalence:
-    def test_served_table1_matches_one_shot_cli_cold_and_warm(
-            self, service, capsys):
-        kwargs = {"trials": 1, "labels": ["C1", "C2"]}
+    @pytest.mark.parametrize("case", sorted(SERVED_VS_CLI))
+    def test_served_matches_one_shot_cli_cold_and_warm(
+            self, service, capsys, case):
+        experiment = case.split("-")[0]
+        kwargs, argv = SERVED_VS_CLI[case]
         # Served run is the cold one: it fills the shared cache.
-        _, cold = service.submit_and_wait("table1", kwargs=kwargs, seed=7)
+        _, cold = service.submit_and_wait(experiment, kwargs=kwargs, seed=7)
         assert cold["event"] == "result"
         assert cold["cached_shards"] == 0
 
@@ -302,14 +319,13 @@ class TestServedEquivalence:
         # byte-for-byte what the service streamed.
         from repro.cli import main
 
-        code = main(["--trials", "1", "--labels", "C1,C2", "--no-manifest",
-                     "table1"])
+        code = main([*argv, "--no-manifest", experiment])
         printed = capsys.readouterr().out
         assert printed == cold["output"] + "\n"
         assert code == cold["status"]
 
         # And a fresh spec served warm matches its own one-shot run too.
-        _, warm = service.submit_and_wait("table1", kwargs=kwargs, seed=7)
+        _, warm = service.submit_and_wait(experiment, kwargs=kwargs, seed=7)
         assert warm["output"] == cold["output"]
 
     def test_served_result_writes_one_manifest_per_job(self, service):
