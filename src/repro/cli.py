@@ -13,31 +13,15 @@ from .analysis.reporting import TextTable, fmt_window
 from .devices.profiles import CATALOGUE
 
 
-def _manifest_for(args: argparse.Namespace, multi: bool = False):
+def _manifest_for(args: argparse.Namespace):
     """The ``manifest=`` value for a campaign driver.
 
     ``--no-manifest`` disables the artifact; ``--manifest PATH`` redirects
-    it (single-campaign commands only — commands that run several campaigns
-    keep the per-campaign default paths so they never overwrite each
-    other).
+    it; otherwise the campaign writes its default path.
     """
-    if getattr(args, "no_manifest", False):
+    if args.no_manifest:
         return False
-    path = getattr(args, "manifest", None)
-    if path and not multi:
-        return path
-    return True
-
-
-def _print_manifest(args: argparse.Namespace, campaign: str,
-                    multi: bool = False) -> None:
-    """One ``manifest: <path>`` line per campaign (deterministic paths)."""
-    manifest = _manifest_for(args, multi)
-    if manifest is False:
-        return
-    from .obs.manifest import manifest_path_for
-
-    print(f"manifest: {manifest_path_for(campaign, None if manifest is True else manifest)}")
+    return args.manifest or True
 
 
 def _cmd_catalogue(args: argparse.Namespace) -> int:
@@ -96,88 +80,14 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     return spec.status(rows)
 
 
-def _cmd_findings(args: argparse.Namespace) -> int:
-    from .experiments.findings import (
-        finding1_half_open,
-        finding2_event_discard,
-        finding3_unidirectional_liveness,
-        render_findings,
-    )
-
-    f1 = finding1_half_open(seed=args.seed)
-    f2 = finding2_event_discard(seed=args.seed)
-    f3 = finding3_unidirectional_liveness(seed=args.seed)
-    print(render_findings(f1, f2, f3))
-    return 0 if f1.reproduced and f3.reproduced else 1
-
-
-def _cmd_countermeasures(args: argparse.Namespace) -> int:
-    from .experiments.countermeasures import (
-        render_countermeasures,
-        run_ack_timeout_sweep,
-        run_delay_detection,
-        run_keepalive_cost_curve,
-        run_remediation_experiment,
-        run_static_arp_defense,
-        run_timestamp_defense,
-    )
-
-    manifest = _manifest_for(args, multi=True)
-    print(
-        render_countermeasures(
-            run_ack_timeout_sweep(seed=args.seed, jobs=args.jobs, cache=args.cache,
-                                  manifest=manifest),
-            run_keepalive_cost_curve(seed=args.seed, jobs=args.jobs, cache=args.cache,
-                                     manifest=manifest),
-            run_timestamp_defense(seed=args.seed, jobs=args.jobs, cache=args.cache,
-                                  manifest=manifest),
-            run_delay_detection(seed=args.seed),
-            run_static_arp_defense(seed=args.seed),
-            run_remediation_experiment(seed=args.seed),
-        )
-    )
-    for campaign in ("cm-ack-timeout", "cm-keepalive-cost", "cm-timestamp"):
-        _print_manifest(args, campaign, multi=True)
-    return 0
-
-
-def _cmd_integrity(args: argparse.Namespace) -> int:
-    from .experiments.tls_integrity import render_integrity, run_integrity_experiment
-
-    rows = run_integrity_experiment(seed=args.seed)
-    print(render_integrity(rows))
-    return 0 if all(r.matches_paper for r in rows) else 1
-
-
-def _cmd_jamming(args: argparse.Namespace) -> int:
-    from .experiments.jamming_contrast import (
-        render_jamming_contrast,
-        run_jamming_contrast,
-    )
-
-    rows = run_jamming_contrast(seed=args.seed)
-    print(render_jamming_contrast(rows))
-    phantom = next(r for r in rows if r.mode == "phantom-delay")
-    return 0 if phantom.silent and phantom.event_delivered else 1
-
-
 def _cmd_export_knowledge(args: argparse.Namespace) -> int:
     """Write the attacker knowledge base (profiled behaviours) to JSON."""
     from .core.knowledge import KnowledgeBase
 
-    path = args.labels or "knowledge.json"  # reuse the free-form option
     kb = KnowledgeBase.from_catalogue()
-    kb.save(path)
-    print(f"wrote {len(kb)} device behaviours to {path}")
+    kb.save(args.path)
+    print(f"wrote {len(kb)} device behaviours to {args.path}")
     return 0
-
-
-def _cmd_recognition(args: argparse.Namespace) -> int:
-    from .experiments.recognition import render_recognition, run_recognition
-
-    report = run_recognition(seed=args.seed)
-    print(render_recognition(report))
-    return 0 if report.accuracy == 1.0 else 1
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
@@ -396,7 +306,9 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             wall_limit=args.wall_limit,
             success_floor=args.success_floor,
             cache=args.cache,
-            manifest=_manifest_for(args, multi=True),
+            # One manifest per step at its default path: a single
+            # ``--manifest PATH`` would be overwritten by every step.
+            manifest=not args.no_manifest,
         )
         print(report.render())
         for step in report.steps:
@@ -427,7 +339,8 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             print(f"home {index}: {digest}")
     if report.results_path is not None:
         print(f"results: {report.results_path}")
-    _print_manifest(args, "fleet")
+    if report.manifest_path is not None:
+        print(f"manifest: {report.manifest_path}")
     print(
         f"{report.wall_seconds:.2f}s wall, "
         f"{report.homes_per_second:.1f} homes/s ({report.runner_summary})",
@@ -506,7 +419,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
     print(f"corpus digest: {report.corpus_digest}")
     if report.corpus_dir is not None:
         print(f"corpus: {report.corpus_dir} ({len(report.case_paths)} case files)")
-    _print_manifest(args, "search")
+    if report.manifest_path is not None:
+        print(f"manifest: {report.manifest_path}")
     print(
         f"{report.wall_seconds:.2f}s wall, "
         f"{report.candidates_per_second:.1f} candidates/s "
@@ -647,18 +561,19 @@ def _cmd_watch(args: argparse.Namespace) -> int:
     return 2
 
 
+#: What ``all`` runs, in order: the paper's registered artefacts.
+ALL_EXPERIMENTS = ("table1", "table2", "table3", "figure3", "verify",
+                   "findings", "countermeasures", "integrity")
+
+
 def _cmd_all(args: argparse.Namespace) -> int:
     # Several campaigns: each keeps its default manifest path, so
     # ``--manifest PATH`` cannot make one overwrite another.
-    args = argparse.Namespace(**{**vars(args), "manifest": None})
     status = 0
-    for name in ("table1", "table2", "table3", "figure3", "verify"):
-        status |= _cmd_experiment(
-            argparse.Namespace(**{**vars(args), "experiment": name})
-        )
-        print()
-    for handler in (_cmd_findings, _cmd_countermeasures, _cmd_integrity):
-        status |= handler(args)
+    for name in ALL_EXPERIMENTS:
+        status |= _cmd_experiment(argparse.Namespace(
+            **{**vars(args), "manifest": None, "experiment": name}
+        ))
         print()
     return status
 
@@ -676,8 +591,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=7, help="simulation seed")
     parser.add_argument(
-        "--trials", type=int, default=3,
-        help="measurement trials per message type (paper: 20)",
+        "--trials", type=int, default=None,
+        help=(
+            "measurement trials per message type (default: the "
+            "experiment's own; paper: 20)"
+        ),
     )
     parser.add_argument(
         "--jobs", type=int, default=None, metavar="N",
@@ -724,18 +642,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=_cmd_experiment, experiment=name)
     for name, fn, doc in (
         ("catalogue", _cmd_catalogue, "list the 50-device catalogue"),
-        ("findings", _cmd_findings, "Findings 1-3"),
-        ("countermeasures", _cmd_countermeasures, "Section VII defences"),
-        ("integrity", _cmd_integrity, "TLS integrity vs delay"),
         ("plan", _cmd_plan, "attack planner over an inferred rule set"),
-        ("recognition", _cmd_recognition, "device recognition accuracy (extension)"),
-        ("export-knowledge", _cmd_export_knowledge,
-         "dump the device-behaviour knowledge base as JSON (--labels sets the path)"),
-        ("jamming", _cmd_jamming, "phantom delay vs packet discarding (extension)"),
-        ("all", _cmd_all, "run every experiment"),
+        ("all", _cmd_all, "run every paper artefact: " + ", ".join(ALL_EXPERIMENTS)),
     ):
         p = sub.add_parser(name, help=doc)
         p.set_defaults(func=fn)
+    export = sub.add_parser("export-knowledge",
+                            help="dump the device-behaviour knowledge base as JSON")
+    export.add_argument("path", nargs="?", default="knowledge.json",
+                        help="output path (default knowledge.json)")
+    export.set_defaults(func=_cmd_export_knowledge)
     observe = sub.add_parser(
         "observe",
         help=(

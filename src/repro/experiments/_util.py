@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
-from typing import Callable, TYPE_CHECKING
+from typing import Any, Callable, TYPE_CHECKING
 
 from ..devices.base import HubChildDevice, IoTDevice
+from ..parallel import CampaignRunner, Shard
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..simnet.scheduler import Simulator
+
+#: One sharded sub-experiment: its shards, and the function that folds
+#: their results (in shard order) into the sub-experiment's rows.
+Plan = tuple[list[Shard], Callable[[list[Any]], Any]]
 
 
 def run_until(sim: "Simulator", predicate: Callable[[], bool], timeout: float) -> bool:
@@ -36,3 +41,20 @@ def uplink_ip_of(device: IoTDevice) -> str:
     if isinstance(device, HubChildDevice):
         return device.hub.ip
     return device.host.ip  # type: ignore[attr-defined]
+
+
+def run_plans(runner: CampaignRunner, *plans: Plan) -> list[Any]:
+    """Run several sharded sub-experiments as one campaign.
+
+    One ``runner.run()`` over the union of the plans' shards gives one
+    cache lookup pass, one cancel signal and one manifest; each plan's
+    slice of the results goes to its own fold, in plan order.
+    """
+    results = iter(runner.run([shard for shards, _ in plans for shard in shards]))
+    return [fold([next(results) for _ in shards]) for shards, fold in plans]
+
+
+def run_plan(campaign: str, seed: int, plan: Plan) -> Any:
+    """One plan as its own serial campaign, with the default manifest."""
+    [rows] = run_plans(CampaignRunner(jobs=1, base_seed=seed, campaign=campaign), plan)
+    return rows

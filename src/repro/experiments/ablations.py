@@ -16,7 +16,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 from ..analysis.reporting import TextTable, fmt_window
 from ..core.attacker import PhantomDelayAttacker
@@ -25,7 +24,7 @@ from ..core.predictor import TimeoutBehavior
 from ..devices.profiles import CATALOGUE
 from ..parallel import CampaignRunner, Shard
 from ..testbed import SmartHomeTestbed
-from ._util import run_until
+from ._util import Plan, run_plan, run_plans, run_until
 
 
 class NoForgeHijacker(TcpHijacker):
@@ -82,26 +81,17 @@ def _forged_ack_case(forge: bool, hold_for: float, seed: int) -> ForgedAckRow:
     )
 
 
-def run_forged_ack_ablation(
-    seed: int = 71, hold_for: float = 25.0, jobs: int | None = 1, cache: Any = None,
-    manifest: Any = True,
-) -> list[ForgedAckRow]:
+def _forged_ack_plan(hold_for: float, seed: int) -> Plan:
+    return [
+        Shard(f"forged-ack/{'on' if forge else 'off'}", _forged_ack_case,
+              {"forge": forge, "hold_for": hold_for}, seed)
+        for forge in (True, False)
+    ], list
+
+
+def run_forged_ack_ablation(seed: int = 71, hold_for: float = 25.0) -> list[ForgedAckRow]:
     """The same 25 s event delay with and without ACK forging."""
-    runner = CampaignRunner(
-        jobs=jobs, base_seed=seed, campaign="ablation-forged-ack", cache=cache,
-        manifest=manifest,
-    )
-    return runner.run(
-        [
-            Shard(
-                key=f"forged-ack/{'on' if forge else 'off'}",
-                fn=_forged_ack_case,
-                kwargs={"forge": forge, "hold_for": hold_for},
-                seed=seed,
-            )
-            for forge in (True, False)
-        ]
-    )
+    return run_plan("ablation-forged-ack", seed, _forged_ack_plan(hold_for, seed))
 
 
 def _retrans_proxy(tb: SmartHomeTestbed, hub) -> int:
@@ -150,30 +140,22 @@ def _margin_case(margin: float, trials: int, seed: int) -> MarginRow:
     )
 
 
+MARGINS: tuple[float, ...] = (0.0, 0.5, 2.0, 5.0, 10.0)
+
+
+def _margin_plan(margins: tuple[float, ...], trials: int, seed: int) -> Plan:
+    return [
+        Shard(f"margin/{margin:g}", _margin_case, {"margin": margin, "trials": trials},
+              seed + i)
+        for i, margin in enumerate(margins)
+    ], list
+
+
 def run_margin_sweep(
-    margins: tuple[float, ...] = (0.0, 0.5, 2.0, 5.0, 10.0),
-    trials: int = 4,
-    seed: int = 73,
-    jobs: int | None = 1,
-    cache: Any = None,
-    manifest: Any = True,
+    margins: tuple[float, ...] = MARGINS, trials: int = 4, seed: int = 73,
 ) -> list[MarginRow]:
     """Avoidance rate and achieved delay as the release margin varies."""
-    runner = CampaignRunner(
-        jobs=jobs, base_seed=seed, campaign="ablation-margin", cache=cache,
-        manifest=manifest,
-    )
-    return runner.run(
-        [
-            Shard(
-                key=f"margin/{margin:g}",
-                fn=_margin_case,
-                kwargs={"margin": margin, "trials": trials},
-                seed=seed + i,
-            )
-            for i, margin in enumerate(margins)
-        ]
-    )
+    return run_plan("ablation-margin", seed, _margin_plan(margins, trials, seed))
 
 
 @dataclass
@@ -200,6 +182,19 @@ def run_pattern_comparison() -> list[PatternRow]:
             )
         )
     return rows
+
+
+def run_ablations(seed: int = 7, runner: CampaignRunner | None = None) -> tuple:
+    """All three ablations at one seed, in :func:`render_ablations` order.
+
+    The forged-ACK and margin sweeps run as one 7-shard campaign on
+    ``runner``; the keep-alive pattern comparison is analytic.
+    """
+    runner = runner or CampaignRunner(jobs=1, base_seed=seed, campaign="ablations")
+    forge_rows, margin_rows = run_plans(
+        runner, _forged_ack_plan(25.0, seed), _margin_plan(MARGINS, 4, seed)
+    )
+    return forge_rows, margin_rows, run_pattern_comparison()
 
 
 def render_ablations(

@@ -15,7 +15,6 @@ stopped, exactly as the paper argues.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 from ..analysis.reporting import TextTable, fmt_window
 from ..core.attacker import PhantomDelayAttacker
@@ -35,7 +34,7 @@ from ..countermeasures.timestamp_check import DelayAnomalyDetector
 from ..devices.profiles import CATALOGUE, Catalogue, TABLE_CLOUD
 from ..parallel import CampaignRunner, Shard
 from ..testbed import SmartHomeTestbed
-from ._util import run_until
+from ._util import Plan, run_plan, run_plans, run_until
 
 
 def _catalogue_with(profile) -> Catalogue:
@@ -85,30 +84,24 @@ def _ack_timeout_case(label: str, timeout: float | None, seed: int) -> AckTimeou
     )
 
 
+ACK_TIMEOUTS: tuple[float | None, ...] = (None, 30.0, 20.0, 10.0, 5.0)
+
+
+def _ack_timeout_plan(label: str, timeouts: tuple[float | None, ...], seed: int) -> Plan:
+    return [
+        Shard(f"ack-timeout/{label}/{'none' if timeout is None else f'{timeout:g}'}",
+              _ack_timeout_case, {"label": label, "timeout": timeout}, seed + i)
+        for i, timeout in enumerate(timeouts)
+    ], list
+
+
 def run_ack_timeout_sweep(
     label: str = "HS1",
-    timeouts: tuple[float | None, ...] = (None, 30.0, 20.0, 10.0, 5.0),
+    timeouts: tuple[float | None, ...] = ACK_TIMEOUTS,
     seed: int = 41,
-    jobs: int | None = 1,
-    cache: Any = None,
-    manifest: Any = True,
 ) -> list[AckTimeoutRow]:
     """Measured attack window against progressively hardened profiles."""
-    runner = CampaignRunner(
-        jobs=jobs, base_seed=seed, campaign="cm-ack-timeout", cache=cache,
-        manifest=manifest,
-    )
-    return runner.run(
-        [
-            Shard(
-                key=f"ack-timeout/{label}/{'none' if timeout is None else f'{timeout:g}'}",
-                fn=_ack_timeout_case,
-                kwargs={"label": label, "timeout": timeout},
-                seed=seed + i,
-            )
-            for i, timeout in enumerate(timeouts)
-        ]
-    )
+    return run_plan("cm-ack-timeout", seed, _ack_timeout_plan(label, timeouts, seed))
 
 
 @dataclass
@@ -134,40 +127,43 @@ def _measure_ka_traffic(label: str, period: float, seed: int) -> float:
     return (tb.lan.bytes_transmitted - start_bytes) * (3600.0 / window)
 
 
-def run_keepalive_cost_curve(
-    label: str = "HS1",
-    periods: tuple[float, ...] = (120.0, 60.0, 30.0, 10.0, 5.0, 2.0),
-    measure_periods: tuple[float, ...] = (30.0, 2.0),
-    seed: int = 43,
-    jobs: int | None = 1,
-    cache: Any = None,
-    manifest: Any = True,
-) -> list[TrafficRow]:
-    """Window-vs-traffic trade-off for shortened keep-alive intervals."""
+KA_PERIODS: tuple[float, ...] = (120.0, 60.0, 30.0, 10.0, 5.0, 2.0)
+KA_MEASURED: tuple[float, ...] = (30.0, 2.0)
+
+
+def _keepalive_plan(
+    label: str, periods: tuple[float, ...], measure_periods: tuple[float, ...], seed: int
+) -> Plan:
     profile = CATALOGUE.get(label, TABLE_CLOUD)
     rows = [
         TrafficRow(period, window, rate, battery_days=battery_life_days(profile, period))
         for period, window, rate in sweep_keepalive_period(profile, list(periods))
     ]
     to_measure = [row for row in rows if row.ka_period in measure_periods]
-    runner = CampaignRunner(
-        jobs=jobs, base_seed=seed, campaign="cm-keepalive-cost", cache=cache,
-        manifest=manifest,
+    shards = [
+        Shard(f"ka-traffic/{label}/{row.ka_period:g}", _measure_ka_traffic,
+              {"label": label, "period": row.ka_period}, seed)
+        for row in to_measure
+    ]
+
+    def fold(measured: list[float]) -> list[TrafficRow]:
+        for row, rate in zip(to_measure, measured):
+            row.measured_bytes_per_hour = rate
+        return rows
+
+    return shards, fold
+
+
+def run_keepalive_cost_curve(
+    label: str = "HS1",
+    periods: tuple[float, ...] = KA_PERIODS,
+    measure_periods: tuple[float, ...] = KA_MEASURED,
+    seed: int = 43,
+) -> list[TrafficRow]:
+    """Window-vs-traffic trade-off for shortened keep-alive intervals."""
+    return run_plan(
+        "cm-keepalive-cost", seed, _keepalive_plan(label, periods, measure_periods, seed)
     )
-    measured = runner.run(
-        [
-            Shard(
-                key=f"ka-traffic/{label}/{row.ka_period:g}",
-                fn=_measure_ka_traffic,
-                kwargs={"label": label, "period": row.ka_period},
-                seed=seed,
-            )
-            for row in to_measure
-        ]
-    )
-    for row, rate in zip(to_measure, measured):
-        row.measured_bytes_per_hour = rate
-    return rows
 
 
 @dataclass
@@ -222,28 +218,18 @@ def _timestamp_case(shape: str, window: float | None, seed: int) -> TimestampDef
     raise ValueError(f"unknown timestamp-defence shape: {shape!r}")
 
 
-def run_timestamp_defense(
-    seed: int = 47, jobs: int | None = 1, cache: Any = None,
-    manifest: Any = True,
-) -> list[TimestampDefenseRow]:
+def _timestamp_plan(seed: int) -> Plan:
+    return [
+        Shard(f"timestamp/{shape}/{'off' if window is None else f'{window:g}'}",
+              _timestamp_case, {"shape": shape, "window": window}, seed)
+        for shape in ("delayed-trigger", "delayed-condition", "state-update")
+        for window in (None, 10.0)
+    ], list
+
+
+def run_timestamp_defense(seed: int = 47) -> list[TimestampDefenseRow]:
     """Re-run three attack shapes with and without timestamp checking."""
-    shapes = ("delayed-trigger", "delayed-condition", "state-update")
-    runner = CampaignRunner(
-        jobs=jobs, base_seed=seed, campaign="cm-timestamp", cache=cache,
-        manifest=manifest,
-    )
-    return runner.run(
-        [
-            Shard(
-                key=f"timestamp/{shape}/{'off' if window is None else f'{window:g}'}",
-                fn=_timestamp_case,
-                kwargs={"shape": shape, "window": window},
-                seed=seed,
-            )
-            for shape in shapes
-            for window in (None, 10.0)
-        ]
-    )
+    return run_plan("cm-timestamp", seed, _timestamp_plan(seed))
 
 
 @dataclass
@@ -367,6 +353,30 @@ def run_delay_detection(threshold: float = 10.0, seed: int = 53) -> DetectionRes
         threshold=threshold,
         detections=len(detector.detections),
         detected=bool(detector.detections),
+    )
+
+
+def run_countermeasures(seed: int = 7, runner: CampaignRunner | None = None) -> tuple:
+    """All of Section VII at one seed, in :func:`render_countermeasures` order.
+
+    The ACK-timeout, keep-alive traffic and timestamp sweeps run as one
+    13-shard campaign on ``runner``; detection, ARP hardening and
+    remediation run in-process.
+    """
+    runner = runner or CampaignRunner(jobs=1, base_seed=seed, campaign="countermeasures")
+    ack_rows, traffic_rows, ts_rows = run_plans(
+        runner,
+        _ack_timeout_plan("HS1", ACK_TIMEOUTS, seed),
+        _keepalive_plan("HS1", KA_PERIODS, KA_MEASURED, seed),
+        _timestamp_plan(seed),
+    )
+    return (
+        ack_rows,
+        traffic_rows,
+        ts_rows,
+        run_delay_detection(seed=seed),
+        run_static_arp_defense(seed=seed),
+        run_remediation_experiment(seed=seed),
     )
 
 

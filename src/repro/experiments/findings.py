@@ -185,6 +185,15 @@ def finding3_unidirectional_liveness(seed: int = 23, hold_for: float = 40.0) -> 
     )
 
 
+def run_findings(seed: int = 7) -> tuple[Finding1Result, list[Finding2Row], Finding3Result]:
+    """Findings 1-3 at one seed, in :func:`render_findings` order."""
+    return (
+        finding1_half_open(seed=seed),
+        finding2_event_discard(seed=seed),
+        finding3_unidirectional_liveness(seed=seed),
+    )
+
+
 def render_findings(
     f1: Finding1Result, f2: list[Finding2Row], f3: Finding3Result
 ) -> str:

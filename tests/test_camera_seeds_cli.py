@@ -122,7 +122,7 @@ class TestCliCoverage:
 
     def test_export_knowledge(self, tmp_path, capsys):
         path = str(tmp_path / "kb.json")
-        assert main(["--labels", path, "export-knowledge"]) == 0
+        assert main(["export-knowledge", path]) == 0
         from repro.core import KnowledgeBase
 
         assert len(KnowledgeBase.load(path)) == 50

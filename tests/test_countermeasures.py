@@ -75,6 +75,31 @@ class TestExperimentRows:
         assert hardened.achieved_delay == pytest.approx(8.0, abs=0.5)  # 10 - margin
         assert hardened.stealthy
 
+    def test_ack_sweep_window_shrinks_monotonically_and_stays_stealthy(self):
+        from repro.experiments.countermeasures import run_ack_timeout_sweep
+
+        rows = run_ack_timeout_sweep()
+        achieved = [row.achieved_delay for row in rows]
+        assert achieved == sorted(achieved, reverse=True)
+        assert all(row.stealthy for row in rows)
+
+    def test_keepalive_cost_curve(self):
+        from repro.experiments.countermeasures import run_keepalive_cost_curve
+
+        rows = run_keepalive_cost_curve()
+        # Traffic grows as the keep-alive period shrinks ...
+        rates = [row.analytic_bytes_per_hour for row in rows]
+        assert rates == sorted(rates)
+        # ... the simulated LAN agrees with the analytic rate ...
+        measured = [r for r in rows if r.measured_bytes_per_hour is not None]
+        assert len(measured) == 2
+        for row in measured:
+            assert row.measured_bytes_per_hour == pytest.approx(
+                row.analytic_bytes_per_hour, rel=0.25
+            )
+        # ... and sub-2 s keep-alives drain a sensor battery within a month.
+        assert any(r.battery_days is not None and r.battery_days < 31 for r in rows)
+
     def test_timestamp_defense_asymmetry(self):
         from repro.experiments.countermeasures import run_timestamp_defense
 

@@ -332,12 +332,12 @@ class TestSerialParallelEquivalence:
             assert s_row.measured_event_window == p_row.measured_event_window
             assert s_row.measured_command_window == p_row.measured_command_window
 
-    def test_ablation_jobs_kwarg_accepted_serially(self):
-        # The sweep drivers grew a ``jobs`` parameter; jobs=1 must stay the
-        # plain in-process path (no pool spin-up inside unit tests).
+    def test_ablation_sub_driver_runs_serially(self):
+        # The public sweep drivers run their shards at jobs=1: the plain
+        # in-process path (no pool spin-up inside unit tests).
         from repro.experiments.ablations import run_forged_ack_ablation
 
-        rows = run_forged_ack_ablation(seed=71, jobs=1)
+        rows = run_forged_ack_ablation(seed=71)
         assert {row.forge_acks for row in rows} == {True, False}
 
 

@@ -139,6 +139,12 @@ class TestAblationExperiments:
         assert by_margin[2.0].timeouts_avoided == 3
         assert by_margin[0.0].timeouts_avoided < 3
 
+    def test_wide_margin_costs_window(self):
+        from repro.experiments.ablations import run_margin_sweep
+
+        by_margin = {row.margin: row for row in run_margin_sweep()}
+        assert by_margin[10.0].mean_achieved < by_margin[2.0].mean_achieved
+
     def test_pattern_comparison_spreads(self):
         from repro.experiments.ablations import run_pattern_comparison
 

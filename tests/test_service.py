@@ -90,7 +90,8 @@ class TestJobKey:
 class TestRegistry:
     def test_builtins_are_registered(self):
         assert {"table1", "table2", "table3", "figure3", "verify",
-                "robustness"} <= set(experiment_names())
+                "robustness", "findings", "countermeasures", "integrity",
+                "jamming", "recognition", "ablations"} <= set(experiment_names())
 
     def test_unknown_name_lists_available(self):
         with pytest.raises(KeyError, match="table1"):
@@ -301,6 +302,14 @@ SERVED_VS_CLI = {
     "figure3": ({}, []),
     "figure3-lossy": ({"faults": "lossy"}, ["--faults", "lossy"]),
     "verify": ({"trials": 1}, ["--trials", "1"]),
+    # No options: both sides fall through to the driver's own trials.
+    "verify-default": ({}, []),
+    "findings": ({}, []),
+    "countermeasures": ({}, []),
+    "integrity": ({}, []),
+    "jamming": ({}, []),
+    "recognition": ({}, []),
+    "ablations": ({}, []),
 }
 
 

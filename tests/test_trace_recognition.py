@@ -58,6 +58,12 @@ class TestRecognitionExperiment:
         report = run_recognition(homes=(("P2", "HS1", "C1"),), seed=153)
         assert report.accuracy == 1.0
 
+    def test_default_homes_perfect_accuracy(self):
+        report = run_recognition()
+        assert report.accuracy == 1.0, [
+            (r.device_id, r.recognised_label) for r in report.rows if not r.correct
+        ]
+
     def test_rows_labelled(self):
         report = run_recognition(homes=(("HS3",),), seed=155)
         assert report.rows[0].expected_label == "HS3"
